@@ -243,9 +243,9 @@ func BenchmarkFig5(b *testing.B) {
 // configuration against the batched+cached evaluation layer at equal
 // iteration count with the ground-truth oracle (and the proxy oracle as
 // a floor). The trajectories are bit-identical by construction — only
-// wall-clock and the eval/cache accounting differ. CI runs this
-// old-vs-new pair and archives the richer BENCH_anneal.json artifact via
-// `experiments bench-anneal`.
+// wall-clock and the eval/cache accounting differ. The end-to-end
+// figures with spreads come from perfbench (see README's Benchmark
+// section).
 func BenchmarkAnneal(b *testing.B) {
 	designs, _, _ := fixtures(b)
 	g := designs["EX08"]

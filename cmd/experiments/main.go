@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	experiments [flags] <fig1|table1|fig2|sec2b|table3|gnncmp|fig5|table4|ablate|bench-anneal|bench-signoff|bench-shard|all>
+//	experiments [flags] <fig1|table1|fig2|sec2b|table3|gnncmp|fig5|table4|ablate|all>
 //
 // Outputs are printed as aligned text tables plus CSV blocks that can be
 // redirected for plotting.
@@ -30,9 +30,7 @@ type config struct {
 	design   string // test design for Fig. 5
 	shard    string // comma-separated sweepd addresses for sweep experiments
 	preseed  bool   // push merged cache records to shard workers mid-sweep
-	store    string // bench-shard persistent store path ("" = a temp file)
 	outDir   string
-	append   string // perf-trajectory JSONL to append bench results to
 }
 
 func main() {
@@ -47,13 +45,11 @@ func main() {
 	flag.StringVar(&cfg.design, "design", "EX54", "test design for Fig. 5")
 	flag.StringVar(&cfg.shard, "shard", "", "comma-separated sweepd worker addresses; distributes the sweep experiments (sec2b, fig5) across them — all flows of one experiment share one session per worker")
 	flag.BoolVar(&cfg.preseed, "preseed", true, "push merged cache records to shard workers mid-sweep (recovers cross-worker duplicate evaluations; results unchanged)")
-	flag.StringVar(&cfg.store, "store", "", "bench-shard: persistent evaluation store path for the cold/warm comparison (default: a temp file, removed afterwards)")
 	flag.StringVar(&cfg.outDir, "out", "", "directory for CSV artifacts (default: stdout only)")
-	flag.StringVar(&cfg.append, "append", "", "JSONL file to append a compact bench-anneal record to (the cross-PR perf trajectory)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <fig1|table1|fig2|sec2b|table3|gnncmp|fig5|table4|ablate|bench-anneal|bench-signoff|bench-shard|all>")
+		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <fig1|table1|fig2|sec2b|table3|gnncmp|fig5|table4|ablate|all>")
 		os.Exit(2)
 	}
 	cmd := flag.Arg(0)
@@ -87,12 +83,6 @@ func main() {
 		run("table4", runTable4)
 	case "ablate":
 		run("ablate", runAblate)
-	case "bench-anneal":
-		run("bench-anneal", runBenchAnneal)
-	case "bench-signoff":
-		run("bench-signoff", runBenchSignoff)
-	case "bench-shard":
-		run("bench-shard", runBenchShard)
 	case "all":
 		run("fig1", runFig1)
 		run("table1", runTable1)

@@ -245,8 +245,9 @@ func TestIncrementalBatchParallelismInvariance(t *testing.T) {
 
 // TestAnnealTrajectoryIdenticalIncremental is the acceptance check on
 // the annealer: for a fixed seed, the accepted trajectory with the
-// incremental oracle must be byte-identical to the full-rebuild
-// trajectory, across batch sizes and chain counts.
+// incremental oracle must be byte-identical to the sequential
+// full-rebuild trajectory, across batch sizes, chain counts and
+// intra-evaluation lane counts.
 func TestAnnealTrajectoryIdenticalIncremental(t *testing.T) {
 	lib := cell.Builtin()
 	g0 := harnessAIG(31, 6, 100, 3)
@@ -258,10 +259,12 @@ func TestAnnealTrajectoryIdenticalIncremental(t *testing.T) {
 		name   string
 		batch  int
 		chains int
+		par    int
 	}{
-		{"sequential", 1, 1},
-		{"batched", 6, 1},
-		{"chained", 4, 2},
+		{"sequential", 1, 1, 1},
+		{"batched", 6, 1, 1},
+		{"chained", 4, 2, 1},
+		{"parallel", 6, 1, 4},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			base := anneal.Params{
@@ -272,7 +275,10 @@ func TestAnnealTrajectoryIdenticalIncremental(t *testing.T) {
 			pOn := base
 			pOff := base
 			pOff.Incremental = anneal.IncrementalOff
-			rOn, err := anneal.Run(g0, flows.NewGroundTruth(lib), pOn)
+			gt := flows.NewGroundTruth(lib)
+			gt.Parallelism = cfg.par
+			defer gt.Close()
+			rOn, err := anneal.Run(g0, gt, pOn)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"aigtimer/internal/aig"
@@ -33,6 +34,10 @@ const protocolVersion = 5
 // maxPayload bounds one message; anything larger indicates a framing
 // desync or a hostile peer, not a real sweep artifact.
 const maxPayload = 1 << 30
+
+// readChunk is the most readMsg allocates ahead of the payload bytes
+// that have actually arrived.
+const readChunk = 1 << 20
 
 // Message types. The coordinator drives the session (config, bases,
 // seeds, jobs, bye); the worker only ever answers a job.
@@ -172,9 +177,18 @@ func readMsg(r *bufio.Reader) (byte, []byte, error) {
 	if n > maxPayload {
 		return 0, nil, fmt.Errorf("shard: message of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	// The declared length is only the peer's claim: grow the buffer as
+	// bytes arrive, one chunk at a time, so a header announcing a huge
+	// frame followed by a hang-up costs one chunk, not the claim. A frame
+	// of at most one chunk is still read into a single allocation.
+	payload := make([]byte, 0, min(n, readChunk))
+	for uint64(len(payload)) < n {
+		start := len(payload)
+		k := int(min(n-uint64(start), readChunk))
+		payload = slices.Grow(payload, k)[:start+k]
+		if _, err := io.ReadFull(r, payload[start:]); err != nil {
+			return 0, nil, err
+		}
 	}
 	return typ, payload, nil
 }

@@ -1,12 +1,16 @@
 package shard
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -532,5 +536,63 @@ func TestSeedRoundTrip(t *testing.T) {
 	entry, out, err = decodeSeed(encodeSeed(0, nil))
 	if err != nil || entry != 0 || len(out) != 0 {
 		t.Fatalf("empty seed round-trip: %v %d %+v", err, entry, out)
+	}
+}
+
+// TestReadMsgHostileLength: a header that declares a maximal frame and
+// then hangs up must cost readMsg one read chunk, not the declared
+// length.
+func TestReadMsgHostileLength(t *testing.T) {
+	hdr := binary.AppendUvarint([]byte{msgHello}, maxPayload)
+	br := bufio.NewReader(bytes.NewReader(hdr))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, _, err := readMsg(br)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame read without error")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 4<<20 {
+		t.Fatalf("header claiming %d bytes allocated %d bytes before any payload arrived", uint64(maxPayload), grown)
+	}
+}
+
+// TestReadMsgRoundTripAcrossChunks: frames on both sides of the read
+// chunk size come back byte-identical, and a frame of at most one chunk
+// is read into a single allocation.
+func TestReadMsgRoundTripAcrossChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, readChunk - 1, readChunk, readChunk + 1, 3*readChunk + 12345} {
+		payload := make([]byte, n)
+		rng.Read(payload)
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		if err := writeMsg(bw, msgBase, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		frame := buf.Bytes()
+		src := bytes.NewReader(frame)
+		br := bufio.NewReader(src)
+		typ, got, err := readMsg(br)
+		if err != nil || typ != msgBase || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte frame did not round-trip: type %d, %d bytes, %v", n, typ, len(got), err)
+		}
+		if n > readChunk {
+			continue
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			src.Reset(frame)
+			br.Reset(src)
+			if _, _, err := readMsg(br); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Fatalf("%d-byte frame: %v allocations per read, want at most 1", n, allocs)
+		}
 	}
 }
