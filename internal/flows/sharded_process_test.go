@@ -227,12 +227,21 @@ func TestSweepSuiteShardedProcessCrashRequeues(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	addrs := []string{
-		startSweepd(t, "-max-jobs", "2"),
+		startSweepd(t, "-max-jobs", "1"),
 		startSweepd(t),
 	}
 	gA, gB := testAIG(35), testAIG(36)
 	lib := cell.Builtin()
 	cfg := shardTestSweepConfig(43)
+	// Spend the crashing worker's one-job budget in a one-point session
+	// of its own (sweepd counts jobs across sessions), so it crashes on
+	// the first job the suite dispatches to it. A budget left for the
+	// suite could go unused: the healthy worker may drain the grid first.
+	one := cfg
+	one.AreaWeights, one.DecayRates = cfg.AreaWeights[:1], cfg.DecayRates[:1]
+	if _, _, err := SweepSharded(gA, Proxy{}, lib, one, ShardOptions{Endpoints: addrs[:1]}); err != nil {
+		t.Fatal(err)
+	}
 	entries := []SuiteEntry{
 		{Name: "A", G: gA, Eval: Proxy{}},
 		{Name: "B", G: gB, Eval: Proxy{}},

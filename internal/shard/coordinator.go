@@ -197,12 +197,18 @@ func newSched(jobs []JobSpec) *sched {
 	return s
 }
 
-// addWorker admits worker id to the live set.
-func (s *sched) addWorker(id int) {
+// addWorker admits worker id to the live set, unless no job will ever
+// be dispatched again (every job resolved, or the session aborted).
+func (s *sched) addWorker(id int) bool {
 	s.mu.Lock()
+	if s.remaining == 0 || s.aborted {
+		s.mu.Unlock()
+		return false
+	}
 	s.alive[id] = true
 	s.mu.Unlock()
 	s.cond.Broadcast()
+	return true
 }
 
 // setTarget bounds how many workers this session may keep (-1 =

@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"slices"
-	"time"
 
 	"aigtimer/internal/aig"
 	"aigtimer/internal/anneal"
@@ -170,9 +170,11 @@ func readMsg(r *bufio.Reader) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	// Past the type byte the frame has begun: a stream ending before its
+	// last byte cuts the frame off, which is not an orderly close.
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, noEOF(err)
 	}
 	if n > maxPayload {
 		return 0, nil, fmt.Errorf("shard: message of %d bytes exceeds limit", n)
@@ -187,267 +189,329 @@ func readMsg(r *bufio.Reader) (byte, []byte, error) {
 		k := int(min(n-uint64(start), readChunk))
 		payload = slices.Grow(payload, k)[:start+k]
 		if _, err := io.ReadFull(r, payload[start:]); err != nil {
-			return 0, nil, err
+			return 0, nil, noEOF(err)
 		}
 	}
 	return typ, payload, nil
 }
 
-// ---- primitive encoders ----
-
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
-
-// appendF64 stores the exact bit pattern (fixed 8 bytes, little
-// endian): metric values must survive the wire bit-identically for the
-// byte-identity guarantee to hold.
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	return append(b, 0)
+	return err
 }
 
-func appendBytes(b, v []byte) []byte {
-	b = appendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
+// ---- wire primitives ----
 
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// dec is a bounds-checked payload reader; the first error sticks so
-// call sites can decode a whole struct and check once.
-type dec struct {
-	data []byte
+// wire walks one message's fields in wire order. Encoding appends each
+// field to buf; decoding reads it, bounds-checked, from data. Every
+// message lists its layout once, as one walk over a *wire, so its
+// encoder and decoder cannot drift apart; only steps that really go one
+// way (a dedup table, a winner pick, aggregation, range checks) branch
+// on dec. The first error sticks, so a walk runs to its end and is
+// checked once.
+type wire struct {
+	dec  bool
+	buf  []byte // encoding: the payload so far
+	data []byte // decoding: the bytes not yet read
 	err  error
 }
 
-func (d *dec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("shard: truncated or corrupt %s", what)
+// encode runs walk in encoding mode.
+func encode(walk func(*wire)) ([]byte, error) {
+	w := &wire{}
+	walk(w)
+	return w.buf, w.err
+}
+
+// decode runs walk over payload in decoding mode; bytes left over after
+// the walk make the payload corrupt.
+func decode(payload []byte, what string, walk func(*wire)) error {
+	w := &wire{dec: true, data: payload}
+	walk(w)
+	if w.err == nil && len(w.data) != 0 {
+		return fmt.Errorf("shard: %d trailing %s bytes", len(w.data), what)
+	}
+	return w.err
+}
+
+// fail records err unless an earlier error already stuck.
+func (w *wire) fail(err error) {
+	if w.err == nil {
+		w.err = err
 	}
 }
 
-func (d *dec) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
+func (w *wire) truncated(what string) { w.fail(fmt.Errorf("shard: truncated or corrupt %s", what)) }
+
+// Go methods cannot take type parameters, so the two integer primitives
+// are functions over any integer field type. Decoding refuses a value
+// the field cannot hold.
+
+func uvarint[T ~uint8 | ~uint32 | ~uint64 | ~int](w *wire, v *T, what string) {
+	switch {
+	case w.err != nil:
+	case !w.dec:
+		w.buf = binary.AppendUvarint(w.buf, uint64(*v))
+	default:
+		x, n := binary.Uvarint(w.data)
+		if n <= 0 || uint64(T(x)) != x {
+			w.truncated(what)
+			return
+		}
+		*v, w.data = T(x), w.data[n:]
 	}
-	v, n := binary.Uvarint(d.data)
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.data = d.data[n:]
-	return v
 }
 
-func (d *dec) varint(what string) int64 {
-	if d.err != nil {
-		return 0
+func varint[T ~int | ~int32 | ~int64](w *wire, v *T, what string) {
+	switch {
+	case w.err != nil:
+	case !w.dec:
+		w.buf = binary.AppendVarint(w.buf, int64(*v))
+	default:
+		x, n := binary.Varint(w.data)
+		if n <= 0 || int64(T(x)) != x {
+			w.truncated(what)
+			return
+		}
+		*v, w.data = T(x), w.data[n:]
 	}
-	v, n := binary.Varint(d.data)
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.data = d.data[n:]
-	return v
 }
 
-func (d *dec) f64(what string) float64 {
-	if d.err != nil {
-		return 0
+func (w *wire) u64(v *uint64, what string) {
+	switch {
+	case w.err != nil:
+	case !w.dec:
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, *v)
+	case len(w.data) < 8:
+		w.truncated(what)
+	default:
+		*v, w.data = binary.LittleEndian.Uint64(w.data), w.data[8:]
 	}
-	if len(d.data) < 8 {
-		d.fail(what)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data))
-	d.data = d.data[8:]
-	return v
 }
 
-func (d *dec) u64(what string) uint64 {
-	if d.err != nil {
-		return 0
+// f64 stores the exact bit pattern (fixed 8 bytes, little endian):
+// metric values must survive the wire bit-identically for the
+// byte-identity guarantee to hold.
+func (w *wire) f64(v *float64, what string) {
+	bits := math.Float64bits(*v)
+	w.u64(&bits, what)
+	if w.dec {
+		*v = math.Float64frombits(bits)
 	}
-	if len(d.data) < 8 {
-		d.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.data)
-	d.data = d.data[8:]
-	return v
 }
 
-func (d *dec) boolean(what string) bool {
-	if d.err != nil {
-		return false
+func (w *wire) boolean(v *bool, what string) {
+	switch {
+	case w.err != nil:
+	case !w.dec && *v:
+		w.buf = append(w.buf, 1)
+	case !w.dec:
+		w.buf = append(w.buf, 0)
+	case len(w.data) < 1:
+		w.truncated(what)
+	default:
+		*v, w.data = w.data[0] != 0, w.data[1:]
 	}
-	if len(d.data) < 1 {
-		d.fail(what)
-		return false
-	}
-	v := d.data[0] != 0
-	d.data = d.data[1:]
-	return v
 }
 
-func (d *dec) bytes(what string) []byte {
-	n := d.uvarint(what)
-	if d.err != nil {
-		return nil
+// count is the element count of a list whose every element takes at
+// least minWireBytes on the wire. Decoding rejects a count whose
+// elements could not fit in the bytes left, before the caller allocates
+// anything for them, and then leaves the count at zero.
+func (w *wire) count(n *int, minWireBytes int, what string) {
+	uvarint(w, n, what)
+	if w.dec && w.err == nil && (*n < 0 || *n > len(w.data)/minWireBytes) {
+		w.fail(fmt.Errorf("shard: implausible %s %d (%d bytes left)", what, *n, len(w.data)))
+		*n = 0
 	}
-	if n > uint64(len(d.data)) {
-		d.fail(what)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	v := d.data[:n:n]
-	d.data = d.data[n:]
-	return v
 }
 
-func (d *dec) str(what string) string { return string(d.bytes(what)) }
+// bytes is a length-prefixed blob. A decoded blob aliases the payload
+// (nil when empty) instead of copying it.
+func (w *wire) bytes(v *[]byte, what string) {
+	n := len(*v)
+	w.count(&n, 1, what)
+	switch {
+	case w.err != nil:
+	case !w.dec:
+		w.buf = append(w.buf, *v...)
+	case n == 0:
+		*v = nil
+	default:
+		*v, w.data = w.data[:n:n], w.data[n:]
+	}
+}
+
+func (w *wire) str(v *string, what string) {
+	if w.dec {
+		var b []byte
+		w.bytes(&b, what)
+		*v = string(b)
+		return
+	}
+	n := len(*v)
+	w.count(&n, 1, what)
+	w.buf = append(w.buf, *v...)
+}
+
+// list is a counted slice: the count, then each element walked by
+// elem. Decoding allocates the slice only once count has accepted its
+// length.
+func list[T any](w *wire, s *[]T, minWireBytes int, what string, elem func(*T)) {
+	n := len(*s)
+	w.count(&n, minWireBytes, what)
+	if w.dec {
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		elem(&(*s)[i])
+	}
+}
+
+// nested is a length-prefixed sub-message walked by walk.
+func (w *wire) nested(what string, walk func(*wire)) {
+	var b []byte
+	if !w.dec {
+		var err error
+		b, err = encode(walk)
+		w.fail(err)
+	}
+	w.bytes(&b, what)
+	if w.dec && w.err == nil {
+		w.fail(decode(b, what, walk))
+	}
+}
+
+// graph is a graph shipped as an aig.EncodeDelta record against ref,
+// which both peers hold. It returns the record's length.
+func (w *wire) graph(g **aig.AIG, ref *aig.AIG, what string) int {
+	var rec []byte
+	if !w.dec && w.err == nil {
+		var err error
+		if rec, err = aig.EncodeDelta(ref, *g); err != nil {
+			w.fail(fmt.Errorf("shard: encoding %s: %w", what, err))
+		}
+	}
+	w.bytes(&rec, what)
+	if w.dec && w.err == nil {
+		var err error
+		if *g, err = aig.DecodeDelta(ref, rec); err != nil {
+			w.fail(fmt.Errorf("shard: decoding %s: %w", what, err))
+		}
+	}
+	return len(rec)
+}
+
+// version is the protocol version that opens configs and hellos;
+// decoding refuses any other.
+func (w *wire) version(what string) {
+	v := byte(protocolVersion)
+	uvarint(w, &v, what+" version")
+	if w.err == nil && v != protocolVersion {
+		w.fail(fmt.Errorf("shard: %s protocol version %d, this peer speaks %d", what, v, protocolVersion))
+	}
+}
+
+// Fewest wire bytes one element of each counted list takes; count
+// checks decoded counts against them.
+const (
+	specWireBytes   = 4  // kind, two models, area flag
+	entryWireBytes  = 2  // base, spec
+	recordWireBytes = 32 // fingerprint, structural hash, delay, area
+	chainWireBytes  = 29 // index, seed, 3 metrics, accepted, history count, best
+	stepWireBytes   = 29 // iteration, recipe, 3 metrics, accepted, ands, levels
+	baseWireBytes   = 4  // length prefix, id, PI count, record
+	jobWireBytes    = 27 // entry, index, 3 weights, seed offset
+	workerWireBytes = 5  // name, jobs, lost, 2 prefilter counters
+)
 
 // ---- config ----
 
 func encodeConfig(cfg RunConfig) []byte {
-	b := []byte{protocolVersion}
-	p := cfg.Base
-	b = appendVarint(b, int64(p.Iterations))
-	b = appendF64(b, p.StartTemp)
-	b = appendF64(b, p.DecayRate)
-	b = appendF64(b, p.DelayWeight)
-	b = appendF64(b, p.AreaWeight)
-	b = appendVarint(b, p.Seed)
-	b = appendVarint(b, int64(p.BatchSize))
-	b = appendVarint(b, int64(p.BatchMin))
-	b = appendVarint(b, int64(p.BatchMax))
-	b = appendVarint(b, int64(p.Workers))
-	b = appendVarint(b, int64(p.Chains))
-	b = appendVarint(b, int64(p.CacheMode))
-	b = appendVarint(b, int64(p.CacheMaxEntries))
-	b = appendVarint(b, int64(p.Incremental))
-	b = appendF64(b, p.IncrementalThreshold)
-	b = appendVarint(b, int64(p.Parallelism))
-	// Evaluator specs are deduplicated into a table — a suite sweeping
-	// many designs under one ML flow ships its (potentially large) model
-	// blobs once, not once per entry; entries reference specs by index
-	// the same way they reference bases.
-	var specs []EvalSpec
-	specIdx := make([]int, len(cfg.Entries))
-	for i, e := range cfg.Entries {
-		found := -1
-		for j := range specs {
-			if sameEvalSpec(specs[j], e.Eval) {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			found = len(specs)
-			specs = append(specs, e.Eval)
-		}
-		specIdx[i] = found
-	}
-	b = appendUvarint(b, uint64(len(specs)))
-	for _, sp := range specs {
-		b = appendString(b, sp.Kind)
-		b = appendBytes(b, sp.DelayModel)
-		b = appendBytes(b, sp.AreaModel)
-		b = appendBool(b, sp.AreaPerNode)
-	}
-	b = appendUvarint(b, uint64(len(cfg.Entries)))
-	for i, e := range cfg.Entries {
-		b = appendUvarint(b, uint64(e.Base))
-		b = appendUvarint(b, uint64(specIdx[i]))
-	}
-	b = appendBytes(b, cfg.Library)
+	b, _ := encode(func(w *wire) { w.config(&cfg) })
 	return b
 }
 
-// sameEvalSpec reports whether two specs would reconstruct the same
-// evaluator (the config encoder's dedup predicate).
-func sameEvalSpec(a, b EvalSpec) bool {
-	return a.Kind == b.Kind && a.AreaPerNode == b.AreaPerNode &&
-		bytes.Equal(a.DelayModel, b.DelayModel) && bytes.Equal(a.AreaModel, b.AreaModel)
+func decodeConfig(payload []byte) (cfg RunConfig, err error) {
+	err = decode(payload, "config", func(w *wire) { w.config(&cfg) })
+	return cfg, err
 }
 
-func decodeConfig(payload []byte) (RunConfig, error) {
-	if len(payload) < 1 {
-		return RunConfig{}, fmt.Errorf("shard: empty config")
-	}
-	if payload[0] != protocolVersion {
-		return RunConfig{}, fmt.Errorf("shard: protocol version %d, this worker speaks %d", payload[0], protocolVersion)
-	}
-	d := &dec{data: payload[1:]}
-	var cfg RunConfig
-	cfg.Base.Iterations = int(d.varint("iterations"))
-	cfg.Base.StartTemp = d.f64("start temp")
-	cfg.Base.DecayRate = d.f64("decay rate")
-	cfg.Base.DelayWeight = d.f64("delay weight")
-	cfg.Base.AreaWeight = d.f64("area weight")
-	cfg.Base.Seed = d.varint("seed")
-	cfg.Base.BatchSize = int(d.varint("batch size"))
-	cfg.Base.BatchMin = int(d.varint("batch min"))
-	cfg.Base.BatchMax = int(d.varint("batch max"))
-	cfg.Base.Workers = int(d.varint("workers"))
-	cfg.Base.Chains = int(d.varint("chains"))
-	cfg.Base.CacheMode = anneal.CacheMode(d.varint("cache mode"))
-	cfg.Base.CacheMaxEntries = int(d.varint("cache max entries"))
-	cfg.Base.Incremental = anneal.IncrementalMode(d.varint("incremental mode"))
-	cfg.Base.IncrementalThreshold = d.f64("incremental threshold")
-	cfg.Base.Parallelism = int(d.varint("parallelism"))
-	numSpecs := d.uvarint("spec count")
-	if d.err != nil {
-		return RunConfig{}, d.err
-	}
-	if numSpecs == 0 || numSpecs > uint64(len(d.data))+1 {
-		return RunConfig{}, fmt.Errorf("shard: implausible spec count %d", numSpecs)
-	}
-	specs := make([]EvalSpec, numSpecs)
-	for i := range specs {
-		sp := &specs[i]
-		sp.Kind = d.str("eval kind")
-		sp.DelayModel = d.bytes("delay model")
-		sp.AreaModel = d.bytes("area model")
-		sp.AreaPerNode = d.boolean("area per node")
-	}
-	numEntries := d.uvarint("entry count")
-	if d.err != nil {
-		return RunConfig{}, d.err
-	}
-	if numEntries == 0 || numEntries > uint64(len(d.data))+1 {
-		return RunConfig{}, fmt.Errorf("shard: implausible entry count %d", numEntries)
-	}
-	cfg.Entries = make([]EntrySpec, numEntries)
-	for i := range cfg.Entries {
-		e := &cfg.Entries[i]
-		e.Base = int(d.uvarint("entry base"))
-		si := d.uvarint("entry spec")
-		if d.err != nil {
-			return RunConfig{}, d.err
+// config: the protocol version, the annealing base parameters, the
+// evaluator specs, the entries and the cell library. Specs are
+// deduplicated into a table — a suite sweeping many designs under one
+// ML flow ships its (potentially large) model blobs once, not once per
+// entry; entries reference specs by index the same way they reference
+// bases.
+func (w *wire) config(cfg *RunConfig) {
+	w.version("config")
+	w.params(&cfg.Base)
+	var specs []EvalSpec
+	if !w.dec {
+		for _, e := range cfg.Entries {
+			if specIndex(specs, e.Eval) < 0 {
+				specs = append(specs, e.Eval)
+			}
 		}
-		if si >= numSpecs {
-			return RunConfig{}, fmt.Errorf("shard: entry %d references spec %d of %d", i, si, numSpecs)
-		}
-		e.Eval = specs[si]
 	}
-	cfg.Library = d.bytes("library")
-	return cfg, d.err
+	list(w, &specs, specWireBytes, "spec count", w.evalSpec)
+	list(w, &cfg.Entries, entryWireBytes, "entry count", func(e *EntrySpec) {
+		uvarint(w, &e.Base, "entry base")
+		si := 0
+		if !w.dec {
+			si = specIndex(specs, e.Eval)
+		}
+		uvarint(w, &si, "entry spec")
+		if w.dec && w.err == nil {
+			if si < 0 || si >= len(specs) {
+				w.fail(fmt.Errorf("shard: entry references spec %d of %d", si, len(specs)))
+				return
+			}
+			e.Eval = specs[si]
+		}
+	})
+	if w.dec && w.err == nil && len(cfg.Entries) == 0 {
+		w.fail(errors.New("shard: config without entries"))
+	}
+	w.bytes(&cfg.Library, "library")
+}
+
+func (w *wire) params(p *anneal.Params) {
+	varint(w, &p.Iterations, "iterations")
+	w.f64(&p.StartTemp, "start temp")
+	w.f64(&p.DecayRate, "decay rate")
+	w.f64(&p.DelayWeight, "delay weight")
+	w.f64(&p.AreaWeight, "area weight")
+	varint(w, &p.Seed, "seed")
+	varint(w, &p.BatchSize, "batch size")
+	varint(w, &p.BatchMin, "batch min")
+	varint(w, &p.BatchMax, "batch max")
+	varint(w, &p.Workers, "workers")
+	varint(w, &p.Chains, "chains")
+	varint(w, &p.CacheMode, "cache mode")
+	varint(w, &p.CacheMaxEntries, "cache max entries")
+	varint(w, &p.Incremental, "incremental mode")
+	w.f64(&p.IncrementalThreshold, "incremental threshold")
+	varint(w, &p.Parallelism, "parallelism")
+}
+
+func (w *wire) evalSpec(sp *EvalSpec) {
+	w.str(&sp.Kind, "eval kind")
+	w.bytes(&sp.DelayModel, "delay model")
+	w.bytes(&sp.AreaModel, "area model")
+	w.boolean(&sp.AreaPerNode, "area per node")
+}
+
+// specIndex returns the index of the first spec in specs that would
+// reconstruct the same evaluator as s (the config's dedup predicate),
+// or -1.
+func specIndex(specs []EvalSpec, s EvalSpec) int {
+	return slices.IndexFunc(specs, func(t EvalSpec) bool {
+		return t.Kind == s.Kind && t.AreaPerNode == s.AreaPerNode &&
+			bytes.Equal(t.DelayModel, s.DelayModel) && bytes.Equal(t.AreaModel, s.AreaModel)
+	})
 }
 
 // ---- base graph ----
@@ -459,56 +523,47 @@ func decodeConfig(payload []byte) (RunConfig, error) {
 func emptyLike(numPIs int) *aig.AIG { return aig.NewBuilder(numPIs).Build() }
 
 func encodeBase(id uint32, g *aig.AIG) ([]byte, error) {
-	rec, err := aig.EncodeDelta(emptyLike(g.NumPIs()), g)
-	if err != nil {
-		return nil, err
-	}
-	b := appendUvarint(nil, uint64(id))
-	b = appendUvarint(b, uint64(g.NumPIs()))
-	b = appendBytes(b, rec)
-	return b, nil
+	return encode(func(w *wire) { w.base(&id, &g) })
 }
 
-func decodeBase(payload []byte) (uint32, *aig.AIG, error) {
-	d := &dec{data: payload}
-	id := d.uvarint("base id")
-	numPIs := d.uvarint("base PI count")
-	rec := d.bytes("base record")
-	if d.err != nil {
-		return 0, nil, d.err
+func decodeBase(payload []byte) (id uint32, g *aig.AIG, err error) {
+	err = decode(payload, "base", func(w *wire) { w.base(&id, &g) })
+	return id, g, err
+}
+
+func (w *wire) base(id *uint32, g **aig.AIG) {
+	uvarint(w, id, "base id")
+	numPIs := 0
+	if !w.dec {
+		numPIs = (*g).NumPIs()
 	}
-	if numPIs > 1<<20 {
-		return 0, nil, fmt.Errorf("shard: implausible base PI count %d", numPIs)
+	uvarint(w, &numPIs, "base PI count")
+	if numPIs < 0 || numPIs > 1<<20 {
+		w.fail(fmt.Errorf("shard: implausible base PI count %d", numPIs))
+		return
 	}
-	g, err := aig.DecodeDelta(emptyLike(int(numPIs)), rec)
-	if err != nil {
-		return 0, nil, err
-	}
-	return uint32(id), g, nil
+	w.graph(g, emptyLike(numPIs), "base record")
 }
 
 // ---- jobs ----
 
 func encodeJob(j JobSpec) []byte {
-	b := appendUvarint(nil, uint64(j.Entry))
-	b = appendUvarint(b, uint64(j.Index))
-	b = appendF64(b, j.DelayWeight)
-	b = appendF64(b, j.AreaWeight)
-	b = appendF64(b, j.Decay)
-	b = appendVarint(b, j.SeedOffset)
+	b, _ := encode(func(w *wire) { w.job(&j) })
 	return b
 }
 
-func decodeJob(payload []byte) (JobSpec, error) {
-	d := &dec{data: payload}
-	var j JobSpec
-	j.Entry = int(d.uvarint("job entry"))
-	j.Index = int(d.uvarint("job index"))
-	j.DelayWeight = d.f64("delay weight")
-	j.AreaWeight = d.f64("area weight")
-	j.Decay = d.f64("decay")
-	j.SeedOffset = d.varint("seed offset")
-	return j, d.err
+func decodeJob(payload []byte) (j JobSpec, err error) {
+	err = decode(payload, "job", func(w *wire) { w.job(&j) })
+	return j, err
+}
+
+func (w *wire) job(j *JobSpec) {
+	uvarint(w, &j.Entry, "job entry")
+	uvarint(w, &j.Index, "job index")
+	w.f64(&j.DelayWeight, "delay weight")
+	w.f64(&j.AreaWeight, "area weight")
+	w.f64(&j.Decay, "decay")
+	varint(w, &j.SeedOffset, "seed offset")
 }
 
 // ---- cache seeds ----
@@ -517,50 +572,41 @@ func decodeJob(payload []byte) (JobSpec, error) {
 // of one session entry that this worker has not contributed or received
 // before.
 func encodeSeed(entry int, recs []eval.CacheRecord) []byte {
-	b := appendUvarint(nil, uint64(entry))
-	b = appendUvarint(b, uint64(len(recs)))
-	for _, rec := range recs {
-		b = appendU64(b, rec.FP)
-		b = appendU64(b, rec.SH)
-		b = appendF64(b, rec.M.DelayPS)
-		b = appendF64(b, rec.M.AreaUM2)
-	}
+	b, _ := encode(func(w *wire) { w.seed(&entry, &recs) })
 	return b
 }
 
-func decodeSeed(payload []byte) (int, []eval.CacheRecord, error) {
-	d := &dec{data: payload}
-	entry := int(d.uvarint("seed entry"))
-	n := d.uvarint("seed record count")
-	if d.err != nil {
-		return 0, nil, d.err
-	}
-	if n > uint64(len(d.data)) {
-		return 0, nil, fmt.Errorf("shard: implausible seed record count %d", n)
-	}
-	recs := make([]eval.CacheRecord, n)
-	for i := range recs {
-		recs[i].FP = d.u64("seed fp")
-		recs[i].SH = d.u64("seed sh")
-		recs[i].M.DelayPS = d.f64("seed delay")
-		recs[i].M.AreaUM2 = d.f64("seed area")
-	}
-	if d.err == nil && len(d.data) != 0 {
-		return 0, nil, fmt.Errorf("shard: %d trailing seed bytes", len(d.data))
-	}
-	return entry, recs, d.err
+func decodeSeed(payload []byte) (entry int, recs []eval.CacheRecord, err error) {
+	err = decode(payload, "seed", func(w *wire) { w.seed(&entry, &recs) })
+	return entry, recs, err
+}
+
+func (w *wire) seed(entry *int, recs *[]eval.CacheRecord) {
+	uvarint(w, entry, "seed entry")
+	list(w, recs, recordWireBytes, "seed record count", w.record)
+}
+
+func (w *wire) record(r *eval.CacheRecord) {
+	w.u64(&r.FP, "record fp")
+	w.u64(&r.SH, "record sh")
+	w.f64(&r.M.DelayPS, "record delay")
+	w.f64(&r.M.AreaUM2, "record area")
 }
 
 func encodeJobError(index int, err error) []byte {
-	b := appendUvarint(nil, uint64(index))
-	return appendString(b, err.Error())
+	msg := err.Error()
+	b, _ := encode(func(w *wire) { w.jobError(&index, &msg) })
+	return b
 }
 
-func decodeJobError(payload []byte) (int, string, error) {
-	d := &dec{data: payload}
-	idx := int(d.uvarint("job index"))
-	msg := d.str("error")
-	return idx, msg, d.err
+func decodeJobError(payload []byte) (index int, msg string, err error) {
+	err = decode(payload, "job error", func(w *wire) { w.jobError(&index, &msg) })
+	return index, msg, err
+}
+
+func (w *wire) jobError(index *int, msg *string) {
+	uvarint(w, index, "job index")
+	w.str(msg, "error")
 }
 
 // ---- results ----
@@ -583,171 +629,98 @@ type resultWire struct {
 // session-cumulative preseed effect (oracle calls skipped, records
 // rejected as witnessed collisions) for coordinator-side accounting.
 func encodeResult(base *aig.AIG, index int, wr *WorkResult, recs []eval.CacheRecord, cs eval.CacheStats) ([]byte, error) {
-	r := wr.Result
-	if len(r.Chains) == 0 {
-		return nil, fmt.Errorf("shard: result without chain outcomes")
-	}
-	winner := 0
-	for i := range r.Chains {
-		if r.Chains[i].Best == r.Best {
-			winner = i
-			break
-		}
-	}
-	b := appendUvarint(nil, uint64(index))
-	b = appendF64(b, wr.TrueDelayPS)
-	b = appendF64(b, wr.TrueAreaUM2)
-	b = appendUvarint(b, uint64(winner))
-	b = appendF64(b, r.Initial.DelayPS)
-	b = appendF64(b, r.Initial.AreaUM2)
-	b = appendVarint(b, int64(r.Evals))
-	b = appendVarint(b, int64(r.SpeculativeEvals))
-	b = appendVarint(b, r.CacheHits)
-	b = appendVarint(b, r.CacheMisses)
-	b = appendVarint(b, r.DeltaEvals)
-	b = appendVarint(b, r.FullEvals)
-	b = appendVarint(b, int64(r.MoveTime))
-	b = appendVarint(b, int64(r.EvalTime))
-	b = appendVarint(b, int64(r.InitialEvalTime))
-	b = appendUvarint(b, uint64(len(r.Chains)))
-	for i := range r.Chains {
-		c := &r.Chains[i]
-		b = appendVarint(b, int64(c.Chain))
-		b = appendVarint(b, c.Seed)
-		b = appendF64(b, c.BestCost)
-		b = appendF64(b, c.BestMetrics.DelayPS)
-		b = appendF64(b, c.BestMetrics.AreaUM2)
-		b = appendVarint(b, int64(c.Accepted))
-		b = appendUvarint(b, uint64(len(c.History)))
-		for _, s := range c.History {
-			b = appendVarint(b, int64(s.Iter))
-			b = appendString(b, s.Recipe)
-			b = appendF64(b, s.Metrics.DelayPS)
-			b = appendF64(b, s.Metrics.AreaUM2)
-			b = appendF64(b, s.Cost)
-			b = appendBool(b, s.Accepted)
-			b = appendVarint(b, int64(s.Ands))
-			b = appendVarint(b, int64(s.Levels))
-		}
-		rec, err := aig.EncodeDelta(base, c.Best)
-		if err != nil {
-			return nil, fmt.Errorf("shard: encoding chain %d best: %w", i, err)
-		}
-		b = appendBytes(b, rec)
-	}
-	b = appendUvarint(b, uint64(len(recs)))
-	for _, rec := range recs {
-		b = appendU64(b, rec.FP)
-		b = appendU64(b, rec.SH)
-		b = appendF64(b, rec.M.DelayPS)
-		b = appendF64(b, rec.M.AreaUM2)
-	}
-	b = appendVarint(b, cs.PrefilterHits)
-	b = appendVarint(b, cs.PrefilterRejected)
-	return b, nil
+	jr := JobResult{Index: index, TrueDelayPS: wr.TrueDelayPS, TrueAreaUM2: wr.TrueAreaUM2, Result: wr.Result}
+	rw := resultWire{prefilterHits: cs.PrefilterHits, prefilterRejected: cs.PrefilterRejected}
+	return encode(func(w *wire) { w.result(base, &jr, &recs, &rw) })
 }
 
-// decodeResult reconstructs a JobResult against the session base. The
-// top-level Best/BestCost/BestMetrics/History alias the winning chain,
-// and Accepted re-aggregates over chains, exactly as anneal.Run builds
-// its Result.
-func decodeResult(base *aig.AIG, payload []byte) (JobResult, []eval.CacheRecord, resultWire, error) {
-	d := &dec{data: payload}
-	var jr JobResult
-	var wire resultWire
-	jr.Index = int(d.uvarint("job index"))
-	jr.TrueDelayPS = d.f64("true delay")
-	jr.TrueAreaUM2 = d.f64("true area")
-	winner := int(d.uvarint("winner"))
-	r := &anneal.Result{}
-	r.Initial.DelayPS = d.f64("initial delay")
-	r.Initial.AreaUM2 = d.f64("initial area")
-	r.Evals = int(d.varint("evals"))
-	r.SpeculativeEvals = int(d.varint("speculative evals"))
-	r.CacheHits = d.varint("cache hits")
-	r.CacheMisses = d.varint("cache misses")
-	r.DeltaEvals = d.varint("delta evals")
-	r.FullEvals = d.varint("full evals")
-	r.MoveTime = time.Duration(d.varint("move time"))
-	r.EvalTime = time.Duration(d.varint("eval time"))
-	r.InitialEvalTime = time.Duration(d.varint("initial eval time"))
-	numChains := d.uvarint("chain count")
-	if d.err != nil {
-		return JobResult{}, nil, wire, d.err
+// decodeResult reconstructs a JobResult against the session base.
+func decodeResult(base *aig.AIG, payload []byte) (jr JobResult, recs []eval.CacheRecord, rw resultWire, err error) {
+	err = decode(payload, "result", func(w *wire) { w.result(base, &jr, &recs, &rw) })
+	return jr, recs, rw, err
+}
+
+func (w *wire) result(base *aig.AIG, jr *JobResult, recs *[]eval.CacheRecord, rw *resultWire) {
+	r, winner := jr.Result, 0
+	if w.dec {
+		r = &anneal.Result{}
+	} else {
+		// The winner is the first chain holding the overall best graph.
+		for i := range r.Chains {
+			if r.Chains[i].Best == r.Best {
+				winner = i
+				break
+			}
+		}
 	}
-	if numChains == 0 || numChains > uint64(len(d.data)) {
-		return JobResult{}, nil, wire, fmt.Errorf("shard: implausible chain count %d", numChains)
+	uvarint(w, &jr.Index, "job index")
+	w.f64(&jr.TrueDelayPS, "true delay")
+	w.f64(&jr.TrueAreaUM2, "true area")
+	uvarint(w, &winner, "winner")
+	w.f64(&r.Initial.DelayPS, "initial delay")
+	w.f64(&r.Initial.AreaUM2, "initial area")
+	varint(w, &r.Evals, "evals")
+	varint(w, &r.SpeculativeEvals, "speculative evals")
+	varint(w, &r.CacheHits, "cache hits")
+	varint(w, &r.CacheMisses, "cache misses")
+	varint(w, &r.DeltaEvals, "delta evals")
+	varint(w, &r.FullEvals, "full evals")
+	varint(w, &r.MoveTime, "move time")
+	varint(w, &r.EvalTime, "eval time")
+	varint(w, &r.InitialEvalTime, "initial eval time")
+	list(w, &r.Chains, chainWireBytes, "chain count", func(c *anneal.ChainResult) {
+		varint(w, &c.Chain, "chain index")
+		varint(w, &c.Seed, "chain seed")
+		w.f64(&c.BestCost, "chain best cost")
+		w.f64(&c.BestMetrics.DelayPS, "chain best delay")
+		w.f64(&c.BestMetrics.AreaUM2, "chain best area")
+		varint(w, &c.Accepted, "chain accepted")
+		list(w, &c.History, stepWireBytes, "history length", w.step)
+		rw.deltaBytes += int64(w.graph(&c.Best, base, "chain best record"))
+	})
+	if len(r.Chains) == 0 {
+		w.fail(errors.New("shard: result without chain outcomes"))
 	}
-	for i := 0; i < int(numChains); i++ {
-		var c anneal.ChainResult
-		c.Chain = int(d.varint("chain index"))
-		c.Seed = d.varint("chain seed")
-		c.BestCost = d.f64("chain best cost")
-		c.BestMetrics.DelayPS = d.f64("chain best delay")
-		c.BestMetrics.AreaUM2 = d.f64("chain best area")
-		c.Accepted = int(d.varint("chain accepted"))
-		hist := d.uvarint("history length")
-		if d.err != nil {
-			return JobResult{}, nil, wire, d.err
-		}
-		if hist > uint64(len(d.data)) {
-			return JobResult{}, nil, wire, fmt.Errorf("shard: implausible history length %d", hist)
-		}
-		c.History = make([]anneal.Step, hist)
-		for h := range c.History {
-			s := &c.History[h]
-			s.Iter = int(d.varint("step iter"))
-			s.Recipe = d.str("step recipe")
-			s.Metrics.DelayPS = d.f64("step delay")
-			s.Metrics.AreaUM2 = d.f64("step area")
-			s.Cost = d.f64("step cost")
-			s.Accepted = d.boolean("step accepted")
-			s.Ands = int(d.varint("step ands"))
-			s.Levels = int32(d.varint("step levels"))
-		}
-		rec := d.bytes("chain best record")
-		if d.err != nil {
-			return JobResult{}, nil, wire, d.err
-		}
-		g, err := aig.DecodeDelta(base, rec)
-		if err != nil {
-			return JobResult{}, nil, wire, fmt.Errorf("shard: decoding chain %d best: %w", i, err)
-		}
-		c.Best = g
-		wire.deltaRecords++
-		wire.deltaBytes += int64(len(rec))
-		r.Accepted += c.Accepted
-		r.Chains = append(r.Chains, c)
+	list(w, recs, recordWireBytes, "cache record count", w.record)
+	varint(w, &rw.prefilterHits, "prefilter hits")
+	varint(w, &rw.prefilterRejected, "prefilter rejected")
+	if !w.dec || w.err != nil {
+		return
 	}
+	// The top-level Best/BestCost/BestMetrics/History alias the winning
+	// chain, and Accepted re-aggregates over chains, exactly as
+	// anneal.Run builds its Result.
 	if winner < 0 || winner >= len(r.Chains) {
-		return JobResult{}, nil, wire, fmt.Errorf("shard: winner %d out of %d chains", winner, len(r.Chains))
+		w.fail(fmt.Errorf("shard: winner %d out of %d chains", winner, len(r.Chains)))
+		return
 	}
-	w := &r.Chains[winner]
-	r.Best, r.BestCost, r.BestMetrics, r.History = w.Best, w.BestCost, w.BestMetrics, w.History
-	nrec := d.uvarint("cache record count")
-	if d.err != nil {
-		return JobResult{}, nil, wire, d.err
+	win := &r.Chains[winner]
+	r.Best, r.BestCost, r.BestMetrics, r.History = win.Best, win.BestCost, win.BestMetrics, win.History
+	for _, c := range r.Chains {
+		r.Accepted += c.Accepted
 	}
-	if nrec > uint64(len(d.data)) {
-		return JobResult{}, nil, wire, fmt.Errorf("shard: implausible cache record count %d", nrec)
-	}
-	recs := make([]eval.CacheRecord, nrec)
-	for i := range recs {
-		recs[i].FP = d.u64("cache fp")
-		recs[i].SH = d.u64("cache sh")
-		recs[i].M.DelayPS = d.f64("cache delay")
-		recs[i].M.AreaUM2 = d.f64("cache area")
-	}
-	wire.prefilterHits = d.varint("prefilter hits")
-	wire.prefilterRejected = d.varint("prefilter rejected")
-	if d.err != nil {
-		return JobResult{}, nil, wire, d.err
-	}
-	if len(d.data) != 0 {
-		return JobResult{}, nil, wire, fmt.Errorf("shard: %d trailing result bytes", len(d.data))
-	}
+	rw.deltaRecords = len(r.Chains)
 	jr.Result = r
-	return jr, recs, wire, nil
+}
+
+func (w *wire) step(s *anneal.Step) {
+	varint(w, &s.Iter, "step iter")
+	w.str(&s.Recipe, "step recipe")
+	w.f64(&s.Metrics.DelayPS, "step delay")
+	w.f64(&s.Metrics.AreaUM2, "step area")
+	w.f64(&s.Cost, "step cost")
+	w.boolean(&s.Accepted, "step accepted")
+	varint(w, &s.Ands, "step ands")
+	varint(w, &s.Levels, "step levels")
+}
+
+// resultIndex peeks the job index off a result payload without
+// decoding the rest — the client needs it to pick the base graph the
+// full decode runs against.
+func resultIndex(payload []byte) (index int, err error) {
+	w := &wire{dec: true, data: payload}
+	uvarint(w, &index, "result index")
+	return index, w.err
 }
 
 // ---- hub handshake ----
@@ -756,20 +729,19 @@ func decodeResult(base *aig.AIG, payload []byte) (JobResult, []eval.CacheRecord,
 // before anything else, so mismatched peers fail loudly at connect
 // time), the peer's role, and a display name for logs and stats.
 func encodeHello(role byte, name string) []byte {
-	b := []byte{protocolVersion, role}
-	return appendString(b, name)
+	b, _ := encode(func(w *wire) { w.hello(&role, &name) })
+	return b
 }
 
 func decodeHello(payload []byte) (role byte, name string, err error) {
-	if len(payload) < 2 {
-		return 0, "", fmt.Errorf("shard: truncated hello")
-	}
-	if payload[0] != protocolVersion {
-		return 0, "", fmt.Errorf("shard: hello protocol version %d, this hub speaks %d", payload[0], protocolVersion)
-	}
-	d := &dec{data: payload[2:]}
-	name = d.str("hello name")
-	return payload[1], name, d.err
+	err = decode(payload, "hello", func(w *wire) { w.hello(&role, &name) })
+	return role, name, err
+}
+
+func (w *wire) hello(role *byte, name *string) {
+	w.version("hello")
+	uvarint(w, role, "hello role")
+	w.str(name, "hello name")
 }
 
 // ---- submissions ----
@@ -779,41 +751,25 @@ func decodeHello(payload []byte) (role byte, name string, err error) {
 // client message. Reusing the session payload encodings means the hub
 // re-ships them to workers byte-for-byte.
 func encodeSubmit(cfgPayload []byte, basePayloads [][]byte, jobs []JobSpec) []byte {
-	b := appendBytes(nil, cfgPayload)
-	b = appendUvarint(b, uint64(len(basePayloads)))
-	for _, bp := range basePayloads {
-		b = appendBytes(b, bp)
-	}
-	b = appendUvarint(b, uint64(len(jobs)))
-	for _, j := range jobs {
-		b = appendBytes(b, encodeJob(j))
-	}
+	b, _ := encode(func(w *wire) { w.submit(&cfgPayload, &basePayloads, &jobs) })
 	return b
 }
 
 func decodeSubmit(payload []byte) ([]*aig.AIG, RunConfig, []JobSpec, error) {
-	d := &dec{data: payload}
-	cfgPayload := d.bytes("submit config")
-	if d.err != nil {
-		return nil, RunConfig{}, nil, d.err
+	var (
+		cfgPayload   []byte
+		basePayloads [][]byte
+		jobs         []JobSpec
+	)
+	if err := decode(payload, "submit", func(w *wire) { w.submit(&cfgPayload, &basePayloads, &jobs) }); err != nil {
+		return nil, RunConfig{}, nil, err
 	}
 	cfg, err := decodeConfig(cfgPayload)
 	if err != nil {
 		return nil, RunConfig{}, nil, err
 	}
-	nb := d.uvarint("submit base count")
-	if d.err != nil {
-		return nil, RunConfig{}, nil, d.err
-	}
-	if nb > uint64(len(d.data)) {
-		return nil, RunConfig{}, nil, fmt.Errorf("shard: implausible submit base count %d", nb)
-	}
-	bases := make([]*aig.AIG, nb)
-	for i := range bases {
-		bp := d.bytes("submit base")
-		if d.err != nil {
-			return nil, RunConfig{}, nil, d.err
-		}
+	bases := make([]*aig.AIG, len(basePayloads))
+	for i, bp := range basePayloads {
 		id, g, err := decodeBase(bp)
 		if err != nil {
 			return nil, RunConfig{}, nil, err
@@ -823,40 +779,15 @@ func decodeSubmit(payload []byte) ([]*aig.AIG, RunConfig, []JobSpec, error) {
 		}
 		bases[i] = g
 	}
-	nj := d.uvarint("submit job count")
-	if d.err != nil {
-		return nil, RunConfig{}, nil, d.err
-	}
-	if nj > uint64(len(d.data)) {
-		return nil, RunConfig{}, nil, fmt.Errorf("shard: implausible submit job count %d", nj)
-	}
-	jobs := make([]JobSpec, nj)
-	for i := range jobs {
-		jp := d.bytes("submit job")
-		if d.err != nil {
-			return nil, RunConfig{}, nil, d.err
-		}
-		j, err := decodeJob(jp)
-		if err != nil {
-			return nil, RunConfig{}, nil, err
-		}
-		jobs[i] = j
-	}
-	if d.err == nil && len(d.data) != 0 {
-		return nil, RunConfig{}, nil, fmt.Errorf("shard: %d trailing submit bytes", len(d.data))
-	}
-	return bases, cfg, jobs, d.err
+	return bases, cfg, jobs, nil
 }
 
-// resultIndex peeks the job index off a result payload without
-// decoding the rest — the client needs it to pick the base graph the
-// full decode runs against.
-func resultIndex(payload []byte) (int, error) {
-	v, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return 0, fmt.Errorf("shard: truncated result index")
-	}
-	return int(v), nil
+func (w *wire) submit(cfgPayload *[]byte, basePayloads *[][]byte, jobs *[]JobSpec) {
+	w.bytes(cfgPayload, "submit config")
+	list(w, basePayloads, baseWireBytes, "submit base count", func(bp *[]byte) { w.bytes(bp, "submit base") })
+	list(w, jobs, 1+jobWireBytes, "submit job count", func(j *JobSpec) {
+		w.nested("submit job", func(w *wire) { w.job(j) })
+	})
 }
 
 // Submission outcome kinds carried by msgSubmitDone.
@@ -870,171 +801,102 @@ const (
 // JobFailedError with enough structure for the client to rebuild it,
 // or an opaque error string) followed by the session's Stats.
 func encodeSubmitDone(runErr error, st *Stats) []byte {
-	var b []byte
-	switch e := runErr.(type) {
-	case nil:
-		b = append(b, submitOK)
-	case *JobFailedError:
-		b = append(b, submitJobFailed)
-		b = appendBytes(b, encodeJob(e.Job))
-		b = appendUvarint(b, uint64(e.Attempts))
-		b = appendString(b, e.Msg)
-	default:
-		b = append(b, submitError)
-		b = appendString(b, runErr.Error())
-	}
-	return appendStats(b, st)
+	b, _ := encode(func(w *wire) { w.submitDone(&runErr, st) })
+	return b
 }
 
 func decodeSubmitDone(payload []byte) (*Stats, error, error) {
-	if len(payload) < 1 {
-		return nil, nil, fmt.Errorf("shard: empty submit outcome")
-	}
-	d := &dec{data: payload[1:]}
+	st := &Stats{}
 	var runErr error
-	switch payload[0] {
-	case submitOK:
-	case submitJobFailed:
-		jp := d.bytes("failed job")
-		attempts := int(d.uvarint("failed attempts"))
-		msg := d.str("failed message")
-		if d.err != nil {
-			return nil, nil, d.err
-		}
-		job, err := decodeJob(jp)
-		if err != nil {
-			return nil, nil, err
-		}
-		runErr = &JobFailedError{Job: job, Attempts: attempts, Msg: msg}
-	case submitError:
-		runErr = fmt.Errorf("%s", d.str("submission error"))
-	default:
-		return nil, nil, fmt.Errorf("shard: unknown submit outcome kind %d", payload[0])
-	}
-	st, err := decodeStats(d)
-	if err != nil {
+	if err := decode(payload, "submit outcome", func(w *wire) { w.submitDone(&runErr, st) }); err != nil {
 		return nil, nil, err
-	}
-	if len(d.data) != 0 {
-		return nil, nil, fmt.Errorf("shard: %d trailing submit outcome bytes", len(d.data))
 	}
 	return st, runErr, nil
 }
 
-// ---- stats ----
-
-// appendStats serializes a session's full Stats — scalars, the merged
-// caches (so a hub client sees the same cluster-wide memo view a local
-// coordinator would), and the per-worker breakdown.
-func appendStats(b []byte, st *Stats) []byte {
-	b = appendVarint(b, int64(st.BaseSends))
-	b = appendVarint(b, st.BaseBytes)
-	b = appendVarint(b, int64(st.DeltaRecords))
-	b = appendVarint(b, st.DeltaBytes)
-	b = appendVarint(b, int64(st.JobSends))
-	b = appendVarint(b, int64(st.Retries))
-	b = appendVarint(b, int64(st.Requeues))
-	b = appendVarint(b, int64(st.WorkerLosses))
-	b = appendVarint(b, int64(st.Handoffs))
-	b = appendVarint(b, int64(st.QueueDepth))
-	b = appendVarint(b, st.BytesSent)
-	b = appendVarint(b, st.BytesReceived)
-	b = appendVarint(b, int64(st.CacheRecords))
-	b = appendVarint(b, int64(st.CacheDuplicates))
-	b = appendVarint(b, int64(st.SeedPushes))
-	b = appendVarint(b, int64(st.SeedRecords))
-	b = appendVarint(b, st.SeedBytes)
-	b = appendVarint(b, st.PrefilterHits)
-	b = appendVarint(b, st.PrefilterRejected)
-	b = appendVarint(b, int64(st.StoreLoaded))
-	b = appendVarint(b, int64(st.StoreFlushed))
-	b = appendUvarint(b, uint64(len(st.MergedCaches)))
-	for _, m := range st.MergedCaches {
-		b = appendUvarint(b, uint64(len(m)))
-		for k, v := range m {
-			b = appendU64(b, k.FP)
-			b = appendU64(b, k.SH)
-			b = appendF64(b, v.DelayPS)
-			b = appendF64(b, v.AreaUM2)
+func (w *wire) submitDone(runErr *error, st *Stats) {
+	kind, jfe, msg := submitOK, &JobFailedError{}, ""
+	switch e := (*runErr).(type) {
+	case nil:
+	case *JobFailedError:
+		kind, jfe = submitJobFailed, e
+	default:
+		kind, msg = submitError, e.Error()
+	}
+	uvarint(w, &kind, "submit outcome")
+	switch kind {
+	case submitOK:
+	case submitJobFailed:
+		w.nested("failed job", func(w *wire) { w.job(&jfe.Job) })
+		uvarint(w, &jfe.Attempts, "failed attempts")
+		w.str(&jfe.Msg, "failed message")
+		if w.dec {
+			*runErr = jfe
 		}
+	case submitError:
+		w.str(&msg, "submission error")
+		if w.dec {
+			*runErr = errors.New(msg)
+		}
+	default:
+		w.fail(fmt.Errorf("shard: unknown submit outcome kind %d", kind))
 	}
-	b = appendUvarint(b, uint64(len(st.Workers)))
-	for _, w := range st.Workers {
-		b = appendString(b, w.Name)
-		b = appendVarint(b, int64(w.Jobs))
-		b = appendBool(b, w.Lost)
-		b = appendVarint(b, w.PrefilterHits)
-		b = appendVarint(b, w.PrefilterRejected)
-	}
-	return b
+	w.stats(st)
 }
 
-func decodeStats(d *dec) (*Stats, error) {
-	st := &Stats{}
-	st.BaseSends = int(d.varint("base sends"))
-	st.BaseBytes = d.varint("base bytes")
-	st.DeltaRecords = int(d.varint("delta records"))
-	st.DeltaBytes = d.varint("delta bytes")
-	st.JobSends = int(d.varint("job sends"))
-	st.Retries = int(d.varint("retries"))
-	st.Requeues = int(d.varint("requeues"))
-	st.WorkerLosses = int(d.varint("worker losses"))
-	st.Handoffs = int(d.varint("handoffs"))
-	st.QueueDepth = int(d.varint("queue depth"))
-	st.BytesSent = d.varint("bytes sent")
-	st.BytesReceived = d.varint("bytes received")
-	st.CacheRecords = int(d.varint("cache records"))
-	st.CacheDuplicates = int(d.varint("cache duplicates"))
-	st.SeedPushes = int(d.varint("seed pushes"))
-	st.SeedRecords = int(d.varint("seed records"))
-	st.SeedBytes = d.varint("seed bytes")
-	st.PrefilterHits = d.varint("prefilter hits")
-	st.PrefilterRejected = d.varint("prefilter rejected")
-	st.StoreLoaded = int(d.varint("store loaded"))
-	st.StoreFlushed = int(d.varint("store flushed"))
-	ne := d.uvarint("merged cache count")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if ne > uint64(len(d.data))+1 {
-		return nil, fmt.Errorf("shard: implausible merged cache count %d", ne)
-	}
-	st.MergedCaches = make([]map[eval.CacheKey]eval.Metrics, ne)
-	for e := range st.MergedCaches {
-		nr := d.uvarint("merged record count")
-		if d.err != nil {
-			return nil, d.err
+// ---- stats ----
+
+// stats is a session's full Stats — scalars, the merged caches (so a
+// hub client sees the same cluster-wide memo view a local coordinator
+// would), and the per-worker breakdown.
+func (w *wire) stats(st *Stats) {
+	varint(w, &st.BaseSends, "base sends")
+	varint(w, &st.BaseBytes, "base bytes")
+	varint(w, &st.DeltaRecords, "delta records")
+	varint(w, &st.DeltaBytes, "delta bytes")
+	varint(w, &st.JobSends, "job sends")
+	varint(w, &st.Retries, "retries")
+	varint(w, &st.Requeues, "requeues")
+	varint(w, &st.WorkerLosses, "worker losses")
+	varint(w, &st.Handoffs, "handoffs")
+	varint(w, &st.QueueDepth, "queue depth")
+	varint(w, &st.BytesSent, "bytes sent")
+	varint(w, &st.BytesReceived, "bytes received")
+	varint(w, &st.CacheRecords, "cache records")
+	varint(w, &st.CacheDuplicates, "cache duplicates")
+	varint(w, &st.SeedPushes, "seed pushes")
+	varint(w, &st.SeedRecords, "seed records")
+	varint(w, &st.SeedBytes, "seed bytes")
+	varint(w, &st.PrefilterHits, "prefilter hits")
+	varint(w, &st.PrefilterRejected, "prefilter rejected")
+	varint(w, &st.StoreLoaded, "store loaded")
+	varint(w, &st.StoreFlushed, "store flushed")
+	list(w, &st.MergedCaches, 1, "merged cache count", w.mergedCache)
+	list(w, &st.Workers, workerWireBytes, "worker count", func(ws *WorkerStats) {
+		w.str(&ws.Name, "worker name")
+		varint(w, &ws.Jobs, "worker jobs")
+		w.boolean(&ws.Lost, "worker lost")
+		varint(w, &ws.PrefilterHits, "worker prefilter hits")
+		varint(w, &ws.PrefilterRejected, "worker prefilter rejected")
+	})
+}
+
+// mergedCache is one entry's merged memo as a counted run of records;
+// encoding walks the map in Go map order.
+func (w *wire) mergedCache(m *map[eval.CacheKey]eval.Metrics) {
+	n := len(*m)
+	w.count(&n, recordWireBytes, "merged record count")
+	if !w.dec {
+		for k, v := range *m {
+			rec := eval.CacheRecord{FP: k.FP, SH: k.SH, M: v}
+			w.record(&rec)
 		}
-		if nr > uint64(len(d.data)) {
-			return nil, fmt.Errorf("shard: implausible merged record count %d", nr)
-		}
-		m := make(map[eval.CacheKey]eval.Metrics, nr)
-		for i := uint64(0); i < nr; i++ {
-			var k eval.CacheKey
-			var v eval.Metrics
-			k.FP = d.u64("merged fp")
-			k.SH = d.u64("merged sh")
-			v.DelayPS = d.f64("merged delay")
-			v.AreaUM2 = d.f64("merged area")
-			m[k] = v
-		}
-		st.MergedCaches[e] = m
+		return
 	}
-	nw := d.uvarint("worker count")
-	if d.err != nil {
-		return nil, d.err
+	*m = make(map[eval.CacheKey]eval.Metrics, n)
+	for range n {
+		var rec eval.CacheRecord
+		w.record(&rec)
+		(*m)[rec.Key()] = rec.M
 	}
-	if nw > uint64(len(d.data))+1 {
-		return nil, fmt.Errorf("shard: implausible worker count %d", nw)
-	}
-	st.Workers = make([]WorkerStats, nw)
-	for i := range st.Workers {
-		w := &st.Workers[i]
-		w.Name = d.str("worker name")
-		w.Jobs = int(d.varint("worker jobs"))
-		w.Lost = d.boolean("worker lost")
-		w.PrefilterHits = d.varint("worker prefilter hits")
-		w.PrefilterRejected = d.varint("worker prefilter rejected")
-	}
-	return st, d.err
 }

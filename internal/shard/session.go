@@ -323,17 +323,17 @@ type session struct {
 	onRelease func(w *wireWorker, healthy bool)
 	logf      func(format string, args ...any)
 
-	mu        sync.Mutex
-	st        *Stats
-	mergedLog [][]eval.CacheRecord
-	results   []JobResult
+	mu         sync.Mutex
+	st         *Stats
+	mergedLog  [][]eval.CacheRecord
+	results    []JobResult
 	rawResults [][]byte
-	gotResult []bool
-	jobErrs   []error
-	attached  map[int]*sessionWorker
-	nextID    int
-	finished  bool
-	failure   error
+	gotResult  []bool
+	jobErrs    []error
+	attached   map[int]*sessionWorker
+	nextID     int
+	finished   bool
+	failure    error
 
 	done    chan struct{}
 	driveWG sync.WaitGroup
@@ -514,11 +514,13 @@ func (s *session) flushStore() {
 // every base, one flush) followed by the accumulated merged seeds per
 // entry — the full warm start a late joiner needs — and a drive
 // goroutine starts pulling jobs for it. Returns false when the session
-// already finished (the hub then returns the worker to its idle pool
-// untouched).
+// already finished or its last job already completed (the hub then
+// returns the worker to its idle pool untouched). The second case is
+// the window between the last job's completion and finish: a worker
+// admitted there would only be sent the preamble and released again.
 func (s *session) attach(w *wireWorker) bool {
 	s.mu.Lock()
-	if s.finished {
+	if s.finished || !s.sched.addWorker(s.nextID) {
 		s.mu.Unlock()
 		return false
 	}
@@ -534,7 +536,6 @@ func (s *session) attach(w *wireWorker) bool {
 	}
 	s.attached[sw.id] = sw
 	s.st.Workers = append(s.st.Workers, WorkerStats{Name: w.name})
-	s.sched.addWorker(sw.id)
 
 	// Preamble: config and every base in one flush.
 	frames := make([]outFrame, 0, 1+len(s.basePayloads))
@@ -619,7 +620,7 @@ func (s *session) drive(sw *sessionWorker) {
 		switch f.typ {
 		case msgResult:
 			e := t.job.Entry
-			jr, recs, wire, err := decodeResult(s.bases[s.cfg.Entries[e].Base], f.payload)
+			jr, recs, rw, err := decodeResult(s.bases[s.cfg.Entries[e].Base], f.payload)
 			if err != nil || jr.Index != t.job.Index {
 				if err == nil {
 					err = fmt.Errorf("shard: result for job %d while %d in flight", jr.Index, t.job.Index)
@@ -629,7 +630,7 @@ func (s *session) drive(sw *sessionWorker) {
 				return
 			}
 			jr.Entry = e
-			s.merge(sw, t, jr, recs, wire, f.payload)
+			s.merge(sw, t, jr, recs, rw, f.payload)
 		case msgJobError:
 			idx, msg, derr := decodeJobError(f.payload)
 			if derr != nil || idx != t.job.Index {
@@ -668,11 +669,11 @@ func (s *session) drive(sw *sessionWorker) {
 // every other attached worker — mid-job pushes land in their outboxes
 // ahead of any queued dispatch, so a peer imports them before its next
 // job with no dispatch round-trip in between.
-func (s *session) merge(sw *sessionWorker, t *task, jr JobResult, recs []eval.CacheRecord, wire resultWire, raw []byte) {
+func (s *session) merge(sw *sessionWorker, t *task, jr JobResult, recs []eval.CacheRecord, rw resultWire, raw []byte) {
 	e := t.job.Entry
 	s.mu.Lock()
-	s.st.DeltaRecords += wire.deltaRecords
-	s.st.DeltaBytes += wire.deltaBytes
+	s.st.DeltaRecords += rw.deltaRecords
+	s.st.DeltaBytes += rw.deltaBytes
 	var fresh []eval.CacheRecord
 	for _, rec := range recs {
 		sw.seen[e][rec.Key()] = true
@@ -686,8 +687,8 @@ func (s *session) merge(sw *sessionWorker, t *task, jr JobResult, recs []eval.Ca
 	}
 	s.st.CacheRecords += len(recs)
 	s.st.Workers[sw.id].Jobs++
-	s.st.Workers[sw.id].PrefilterHits = wire.prefilterHits
-	s.st.Workers[sw.id].PrefilterRejected = wire.prefilterRejected
+	s.st.Workers[sw.id].PrefilterHits = rw.prefilterHits
+	s.st.Workers[sw.id].PrefilterRejected = rw.prefilterRejected
 	slot := s.slotOf[jr.Index]
 	s.results[slot] = jr
 	s.gotResult[slot] = true

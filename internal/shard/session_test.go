@@ -327,3 +327,35 @@ func TestSessionEmptyPartitionWaits(t *testing.T) {
 	}
 	w.shutdown()
 }
+
+// TestSessionAttachRefusedAfterLastJob covers the window between the
+// last job's completion and the session's finish. A worker woken by
+// that completion is released to the hub, which reschedules while the
+// session is still active; an attach that succeeded there would re-send
+// the config and every base to a worker that then gets no job and is
+// released again, lap after lap until finish runs.
+func TestSessionAttachRefusedAfterLastJob(t *testing.T) {
+	s, err := newSession([]*aig.AIG{testAIG(46)}, testConfig(), testJobs(1), sessionOptions{elastic: true, logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left := s.sched.complete(); left != 0 {
+		t.Fatalf("%d jobs left after completing the only one", left)
+	}
+	hubSide, workerSide := net.Pipe()
+	go io.Copy(io.Discard, workerSide)
+	w := newWireWorker("late", hubSide, 0)
+	if s.attach(w) {
+		t.Error("worker attached to a session with no job left")
+	}
+	s.finish(nil)
+	_, st, err := s.wait()
+	w.shutdown()
+	workerSide.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BaseSends != 0 || len(st.Workers) != 0 {
+		t.Fatalf("base sends %d / worker records %d after the last job, want 0/0", st.BaseSends, len(st.Workers))
+	}
+}

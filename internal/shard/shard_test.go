@@ -541,7 +541,7 @@ func TestSeedRoundTrip(t *testing.T) {
 
 // TestReadMsgHostileLength: a header that declares a maximal frame and
 // then hangs up must cost readMsg one read chunk, not the declared
-// length.
+// length, and must be reported as a cut-off frame, not a clean close.
 func TestReadMsgHostileLength(t *testing.T) {
 	hdr := binary.AppendUvarint([]byte{msgHello}, maxPayload)
 	br := bufio.NewReader(bytes.NewReader(hdr))
@@ -550,11 +550,18 @@ func TestReadMsgHostileLength(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, _, err := readMsg(br)
 	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("truncated frame read without error")
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: error %v, want io.ErrUnexpectedEOF", err)
 	}
 	if grown := after.TotalAlloc - before.TotalAlloc; grown > 4<<20 {
 		t.Fatalf("header claiming %d bytes allocated %d bytes before any payload arrived", uint64(maxPayload), grown)
+	}
+	// A stream ending between frames is a clean close; one ending after
+	// the type byte is not.
+	for in, want := range map[string]error{"": io.EOF, string([]byte{msgHello}): io.ErrUnexpectedEOF} {
+		if _, _, err := readMsg(bufio.NewReader(bytes.NewReader([]byte(in)))); !errors.Is(err, want) {
+			t.Fatalf("stream %q: error %v, want %v", in, err, want)
+		}
 	}
 }
 
